@@ -321,8 +321,8 @@ class ServeConfig:
     #: discrete-event world, e.g. a 5 s RPC timeout) onto loop timers
     #: without making daemon work spin hot.
     time_scale: float = 0.05
-    #: Wall-clock seconds the driver waits for one quiesce barrier
-    #: (all nodes idle) before giving up on the run.
+    #: Wall-clock seconds the driver waits for one quiesce barrier (all
+    #: nodes idle, no frame in flight) before giving up on the run.
     quiesce_timeout: float = 30.0
     #: Wall-clock seconds a child node server may take to bind + report
     #: ready before the launcher declares the run stuck.

@@ -4,10 +4,10 @@ The driver is the serve-mode analogue of
 :meth:`repro.system.DistributedSystem.run_serial`: it routes each query
 to its coordinator (same center-geohash rule), sends ``evaluate`` over
 the asyncio transport, and waits for the answer.  Between queries it
-runs a **quiesce barrier** — polling every node's ``stats`` endpoint
-until the whole cluster reports idle twice in a row — so background
-population lands before the next query, exactly like the sim twin's
-``drain()``.
+runs a **quiesce barrier** — waves of ``stats`` RPCs to every node until
+the cluster is idle and its wire frame counters balance twice in a row
+(:func:`_quiesce`) — so background population lands before the next
+query, exactly like the sim twin's ``drain()``.
 
 Equivalence preconditions (also in docs/serving.md): serial replay with
 quiesce barriers, no fault schedule, no eviction pressure.  Under those
@@ -32,11 +32,6 @@ from repro.serve.cluster import ServeCluster
 from repro.system import CLIENT_ID
 from repro.transport.asyncio_net import AsyncioTransport
 from repro.transport.codec import codec_name
-
-#: Seconds between quiesce polls; consecutive clean rounds required.
-_QUIESCE_POLL = 0.02
-_QUIESCE_ROUNDS = 2
-
 
 def coordinator_for(
     partitioner: PrefixPartitioner, query: AggregationQuery
@@ -76,27 +71,51 @@ async def _quiesce(
     node_ids: Sequence[str],
     timeout: float,
 ) -> None:
-    """Block until every node reports idle ``_QUIESCE_ROUNDS`` in a row.
+    """Block until every node is idle and no ``msg`` frame is in flight.
 
-    One clean round is not enough: a node can look idle while a one-way
-    ``populate`` frame for it is still in TCP flight from a peer.  Two
-    consecutive clean rounds separated by a poll delay bound that window.
+    Mattern's four-counter termination detection.  Each wave asks every
+    node for ``stats`` at once and sums the wire ``msg`` frame counters
+    over the nodes and this client.  A one-way ``populate`` frame still
+    in TCP flight between two nodes shows up as ``sent > received``.
+    The barrier returns after two consecutive waves in which every node
+    is idle, the sums balance, and they did not change in between: then
+    everything counted as sent by the second wave had already been
+    counted as received by the first, so when the first wave ended no
+    frame was in flight and no idle node had been woken since.
+
+    The ``stats`` probes are ``msg`` frames too.  Each wave's probes are
+    sent and received before the wave's replies arrive, so they balance
+    within the wave and are subtracted before waves are compared.
+
+    Precondition: a node leaves idleness only by receiving a message.
+    Processes a node spawns outside a handler (clique handoff, repair)
+    are not seen by the counters.
     """
     deadline = time.monotonic() + timeout
-    clean = 0
-    while clean < _QUIESCE_ROUNDS:
+    network = transport.network
+    probes = 0
+    previous: int | None = None
+    while True:
         if time.monotonic() > deadline:
             raise NetworkError(f"cluster failed to quiesce within {timeout}s")
-        idle = True
-        for node_id in node_ids:
-            stats = await _rpc(
-                transport, node_id, "stats", {}, size=16, timeout=timeout
+        wave = await asyncio.gather(
+            *(
+                _rpc(transport, node_id, "stats", {}, size=16, timeout=timeout)
+                for node_id in node_ids
             )
-            if stats["pending"] or stats["service_queue"] or stats["inflight"] > 0:
-                idle = False
-        clean = clean + 1 if idle else 0
-        if clean < _QUIESCE_ROUNDS:
-            await asyncio.sleep(_QUIESCE_POLL)
+        )
+        probes += len(node_ids)
+        sent = network.msg_frames_sent + sum(s["sent"] for s in wave)
+        received = network.msg_frames_received + sum(s["received"] for s in wave)
+        idle = not any(
+            s["pending"] or s["service_queue"] or s["inflight"] > 0 for s in wave
+        )
+        if not idle or sent != received:
+            previous = None
+            continue
+        if sent - probes == previous:
+            return
+        previous = sent - probes
 
 
 async def _replay_socket(

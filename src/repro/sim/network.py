@@ -46,6 +46,11 @@ class Message:
 class Network:
     """The cluster fabric: registry of node inboxes + cost accounting."""
 
+    #: Wire ``msg`` frame counters of the asyncio fabric; the simulated
+    #: fabric has no wire, so they stay 0.
+    msg_frames_sent = 0
+    msg_frames_received = 0
+
     def __init__(
         self,
         sim: Simulator,

@@ -423,8 +423,10 @@ class StorageNode:
         """Idleness snapshot for an external driver.
 
         ``inflight`` excludes this stats request itself, so a fully idle
-        node reports ``pending == 0 and inflight == 0`` — the serve
-        driver's quiesce barrier between replayed queries.
+        node reports ``pending == 0 and inflight == 0``.  ``sent`` /
+        ``received`` are the transport's wire ``msg`` frame counters (0
+        on the sim fabric, which has no wire); the serve driver's
+        quiesce barrier balances them across the cluster.
         """
         yield self.sim.timeout(0.0)
         self.network.respond(
@@ -435,6 +437,8 @@ class StorageNode:
                 "service_queue": len(self._service_queue),
                 "inflight": self._inflight - 1,
                 "handled": self.counters.get("handled:evaluate"),
+                "sent": self.network.msg_frames_sent,
+                "received": self.network.msg_frames_received,
             },
             size=64,
         )

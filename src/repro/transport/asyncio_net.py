@@ -260,6 +260,11 @@ class AsyncioNetwork:
         self.messages_sent = 0
         self.bytes_sent = 0
         self.messages_dropped = 0
+        #: ``msg`` frames queued for the wire / dispatched from it.  The
+        #: serve quiesce barrier sums these over every peer: a frame in
+        #: flight shows up as ``sent > received`` (Mattern's counters).
+        self.msg_frames_sent = 0
+        self.msg_frames_received = 0
         #: Local fault-injection state (parity with the sim fabric, so
         #: injector-style tests can run against sockets too).
         self._down: set[str] = set()
@@ -387,6 +392,7 @@ class AsyncioNetwork:
     def _dispatch_frame(self, frame: dict, writer: asyncio.StreamWriter) -> None:
         kind = frame.get("t")
         if kind == "msg":
+            self.msg_frames_received += 1
             recipient = frame["recipient"]
             store = self._inboxes.get(recipient)
             if store is None:
@@ -603,6 +609,7 @@ class AsyncioNetwork:
         if wire_id is not None:
             link.sent_ids.add(wire_id)
         link.outbox.put_nowait(encode_frame(frame))
+        self.msg_frames_sent += 1
         return message
 
     def request(

@@ -31,11 +31,10 @@ from repro.serve.http import (
     canonical_json,
     query_fingerprint,
 )
-from repro.serve.server import NodeSpec, build_node
 from repro.system import CLIENT_ID
-from repro.transport.asyncio_net import AsyncioTransport
 from repro.workload.trace import query_to_dict
 
+from tests.serve._cluster import start_client, start_nodes
 from tests.serve._http import http_get, http_post_bytes
 
 SPEC = DatasetSpec(
@@ -70,35 +69,11 @@ def _workload() -> list[AggregationQuery]:
 
 
 def _socket_answers(queries):
-    """Replay on real sockets: every node in-process, each on its own
-    transport, wired through 127.0.0.1 — the full wire path (framing,
-    codec, controller) without multiprocessing overhead."""
+    """Replay on real sockets over the in-process cluster."""
 
     async def main():
-        transports = {}
-        addresses = {}
-        for index, node_id in enumerate(NODE_IDS):
-            transport = AsyncioTransport(
-                node_id, time_scale=CONFIG.serve.time_scale
-            )
-            addresses[node_id] = await transport.start()
-            node = build_node(
-                NodeSpec(
-                    node_index=index,
-                    node_ids=NODE_IDS,
-                    dataset=SPEC,
-                    config=CONFIG,
-                ),
-                transport,
-            )
-            node.start()
-            transports[node_id] = transport
-        client = AsyncioTransport(CLIENT_ID, time_scale=CONFIG.serve.time_scale)
-        addresses[CLIENT_ID] = await client.start()
-        client.network.register(CLIENT_ID)
-        client.network.set_peers(addresses)
-        for transport in transports.values():
-            transport.network.set_peers(addresses)
+        transports, _, addresses = await start_nodes(NODE_IDS, SPEC, CONFIG)
+        client = await start_client(addresses, CONFIG)
         partitioner = PrefixPartitioner(
             list(NODE_IDS), CONFIG.cluster.partition_precision
         )
@@ -298,26 +273,7 @@ class _InProcessSocketCluster:
         ).result(timeout=120)
 
     async def _start(self):
-        self.transports = {}
-        addresses = {}
-        for index, node_id in enumerate(NODE_IDS):
-            transport = AsyncioTransport(
-                node_id, time_scale=CONFIG.serve.time_scale
-            )
-            addresses[node_id] = await transport.start()
-            node = build_node(
-                NodeSpec(
-                    node_index=index,
-                    node_ids=NODE_IDS,
-                    dataset=SPEC,
-                    config=CONFIG,
-                ),
-                transport,
-            )
-            node.start()
-            self.transports[node_id] = transport
-        for transport in self.transports.values():
-            transport.network.set_peers(addresses)
+        self.transports, _, addresses = await start_nodes(NODE_IDS, SPEC, CONFIG)
         return addresses
 
     def close(self):
